@@ -1,6 +1,8 @@
 /** @file Tests for the emulated MSR file and the RAPL firmware controller. */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/experiment.h"
 #include "rapl/msr.h"
 #include "rapl/rapl.h"
@@ -199,7 +201,7 @@ TEST_F(RaplControlTest, CapChangeAtRuntimeIsFollowed)
 
 // Property sweep: RAPL respects every paper cap for a range of workloads.
 class RaplCapSweep
-    : public ::testing::TestWithParam<std::tuple<double, const char*>>
+    : public ::testing::TestWithParam<std::tuple<double, std::string>>
 {
 };
 
