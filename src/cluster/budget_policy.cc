@@ -301,17 +301,6 @@ onlineCapSum(const std::vector<ChildBudget>& children)
     return sum;
 }
 
-size_t
-onlineCount(const std::vector<ChildBudget>& children)
-{
-    size_t count = 0;
-    for (const ChildBudget& child : children) {
-        if (child.online)
-            ++count;
-    }
-    return count;
-}
-
 double
 conservationError(const std::vector<ChildBudget>& children, double budget)
 {
@@ -326,14 +315,6 @@ clampToCeilings(std::vector<ChildBudget>& children)
     const double unplaced = clampToCeilings(tlsPool);
     tlsPool.storeCaps(children);
     return unplaced;
-}
-
-void
-enforceFloor(std::vector<ChildBudget>& children)
-{
-    tlsPool.assign(children);
-    enforceFloor(tlsPool);
-    tlsPool.storeCaps(children);
 }
 
 double

@@ -164,11 +164,9 @@ void evenShares(BudgetPool& pool, double budget);
 // ---------------------------------------------------------------------------
 
 double onlineCapSum(const std::vector<ChildBudget>& children);
-size_t onlineCount(const std::vector<ChildBudget>& children);
 double conservationError(const std::vector<ChildBudget>& children,
                          double budget);
 double clampToCeilings(std::vector<ChildBudget>& children);
-void enforceFloor(std::vector<ChildBudget>& children);
 double rebalanceBudgets(std::vector<ChildBudget>& children,
                         const BudgetPolicy& policy);
 void reshareBudgets(std::vector<ChildBudget>& children, double budget,

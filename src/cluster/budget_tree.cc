@@ -220,12 +220,6 @@ BudgetTree::agedDemand(double watts, double sentSec) const
     return (now_ - sentSec) <= options_.demandStaleSec + 1e-9 ? watts : 0.0;
 }
 
-bool
-BudgetTree::nodeProvisioned(size_t rack, size_t i) const
-{
-    return started_ && nodeAgents_[rack][i].provisioned;
-}
-
 double
 BudgetTree::rackGrantViewWatts(size_t rack) const
 {
@@ -453,7 +447,6 @@ BudgetTree::onNodeMessage(size_t rackIndex, size_t nodeIndex,
                                   options_.nodeTdpWatts);
     node.capWatts = cap;
     node.leaf->applyCap(cap);
-    agent.provisioned = true;
 }
 
 // ---------------------------------------------------------------------------

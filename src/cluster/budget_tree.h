@@ -280,11 +280,6 @@ class BudgetTree
      */
     double budgetErrorWatts() const;
 
-    /** Whether node (@p rack, @p i) has ever applied a delivered grant.
-        Until then it enforces nothing (capWatts 0) -- the bootstrap
-        state when the first grants are lost to the network. */
-    bool nodeProvisioned(size_t rack, size_t i) const;
-
     /** A rack agent's last delivered grant view (0 until one arrives) --
         what the rack is actually dividing, which under partition can
         diverge from the root-side rack(i).grantWatts. */
@@ -405,7 +400,6 @@ class BudgetTree
         uint32_t appliedGrantSeq = 0;
         uint32_t memberSeqOut = 0;
         uint32_t reportSeqOut = 0;
-        bool provisioned = false;
         double lastReportWatts = 0.0;  ///< demand last sent (hysteresis)
         double lastReportSec = -1.0;   ///< when; < 0 = never sent
     };

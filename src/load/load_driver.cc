@@ -26,15 +26,6 @@ LoadDriver::LoadDriver(const Options& options, size_t firstSlot,
 }
 
 int
-LoadDriver::runningJobs() const
-{
-    int running = 0;
-    for (const Slot& slot : slots_)
-        running += slot.busy ? 1 : 0;
-    return running;
-}
-
-int
 LoadDriver::freeSlot() const
 {
     for (size_t s = 0; s < slots_.size(); ++s) {

@@ -93,8 +93,6 @@ class LoadDriver : public sim::Actor
     const ArrivalGenerator& generator() const { return generator_; }
     /** Most recent per-tier cap grants (W). */
     const std::array<double, kTierCount>& grants() const { return grants_; }
-    /** Jobs currently bound to slots. */
-    int runningJobs() const;
 
     const Options& options() const { return options_; }
 

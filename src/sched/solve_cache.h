@@ -33,9 +33,9 @@ namespace pupil::sched {
  * cache must not be mutated in place, and its storage must not be reused
  * for different parameters, without bumping the epoch. The Platform
  * upholds this for free -- it already versions its app set (appsVersion_,
- * bumped by touchApps() on PhaseDriver mutations and by completions) and
- * forwards that version as the epoch. Standalone users (benches, tests)
- * that solve immutable catalog entries never need to touch the epoch.
+ * bumped on thread changes, slot binds and completions) and forwards
+ * that version as the epoch. Standalone users (benches, tests) that
+ * solve immutable catalog entries never need to touch the epoch.
  * Keying by identity instead of by value is what keeps the hit path
  * cheaper than the solve it memoizes: a 4-app key is 96 bytes, not 450.
  *

@@ -117,7 +117,7 @@ Platform::resolveSteadyState()
         return;
     }
     // The cache keys app params by identity; appsVersion_ is the epoch
-    // that invalidates entries after in-place mutation (touchApps).
+    // that invalidates entries whenever the app set changes.
     solveCache_.setAppsEpoch(appsVersion_);
     const bool hit =
         solveCache_.solve(scheduler_, cfg, duty, apps_, solveScratch_,

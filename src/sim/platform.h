@@ -152,13 +152,6 @@ class Platform
     void setAppThreads(size_t i, int threads);
 
     /**
-     * Invalidate the cached steady state after app parameters were
-     * modified in place (used by PhaseDriver when a phase boundary is
-     * crossed).
-     */
-    void touchApps() { ++appsVersion_; }
-
-    /**
      * Give app @p i a finite amount of work (in items). When its
      * accumulated items reach the target the app exits: its threads leave
      * the system and its completion time is recorded. Multi-application

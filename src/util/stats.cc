@@ -21,14 +21,6 @@ OnlineStats::add(double x)
     max_ = std::max(max_, x);
 }
 
-void
-OnlineStats::reset()
-{
-    count_ = 0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-}
-
 double
 OnlineStats::variance() const
 {

@@ -18,9 +18,6 @@ class OnlineStats
     /** Add one observation. */
     void add(double x);
 
-    /** Remove all observations. */
-    void reset();
-
     /** Number of observations so far. */
     size_t count() const { return count_; }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "capping/oracle.h"
+#include "core/pupil.h"
 #include "harness/experiment.h"
 #include "machine/power_model.h"
 #include "sched/scheduler.h"
@@ -184,6 +185,32 @@ TEST(Integration, DynamicCapDropIsReEnforced)
     rapl.setTotalCapEvenSplit(100.0);
     platform.run(62.0);
     EXPECT_LE(platform.truePower(), 103.0);
+}
+
+TEST(Integration, PupilReWalksAfterPersistentWorkloadChange)
+{
+    // A drastic, persistent workload change must re-trigger the decision
+    // walk (the paper's continually-repeating observe-decide-act loop):
+    // after convergence the app drops from 32 threads to 2, so measured
+    // performance falls far outside the monitor's drift band while power
+    // only falls -- the re-walk can come from the drift check alone.
+    sim::PlatformOptions popts;
+    popts.seed = 11;
+    sim::Platform platform(popts, singleApp("blackscholes"));
+    platform.warmStart(machine::maximalConfig());
+    rapl::RaplController rapl;
+    core::Pupil pupil;
+    pupil.attachRapl(&rapl);
+    pupil.setCap(140.0);
+    platform.addActor(&rapl);
+    platform.addActor(&pupil);
+
+    platform.run(110.0);
+    ASSERT_TRUE(pupil.converged());
+    const int walksBefore = pupil.walker()->walkCount();
+    platform.setAppThreads(0, 2);
+    platform.run(220.0);
+    EXPECT_GT(pupil.walker()->walkCount(), walksBefore);
 }
 
 }  // namespace
